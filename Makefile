@@ -6,7 +6,7 @@ JOBS ?= 4
 
 export PYTHONPATH := src
 
-.PHONY: test test-quick test-reference test-store test-serve test-chaos bench perf clean-cache
+.PHONY: test test-quick test-reference test-store test-serve test-chaos bench bench-liveness perf clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,6 +61,14 @@ test-reference:
 bench:
 	$(PYTHON) -m repro bench --suite all --system looprag-deepseek \
 	    --system pluto --jobs $(JOBS)
+
+# the end-to-end benchmark times layers by wrapping repro functions by
+# name (compute_dependences, dependences, schedule_violations,
+# parallel_violations, ...); each workload's traced mode on a short
+# slice must record calls on every layer it reads, so renaming a
+# wrapped entry point fails here instead of silently zeroing a span
+bench-liveness:
+	$(PYTHON) -m pytest -q perfbench
 
 perf:
 	$(PYTHON) -m repro perf --json BENCH_interpreter.json

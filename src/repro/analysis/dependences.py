@@ -24,6 +24,11 @@ Two engines share these semantics (selected by ``REPRO_ANALYSIS``):
 * ``reference`` — the original per-instance walk in this module, kept as
   the executable specification the equivalence suite pins the vectorized
   engine against.
+
+The vectorized engine keeps each class's witnesses as
+:class:`WitnessColumns` (int64 matrices); :attr:`Dependence.witnesses`
+renders them into the reference's instance tuples only when read, and
+batched legality checking reads the columns directly.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
+
+import numpy as np
 
 from ..ir.program import Program
 from ..ir.schedule import Schedule
@@ -114,9 +121,61 @@ def analysis_override(engine: Optional[str]):
             os.environ["REPRO_ANALYSIS"] = before
 
 
-@dataclass(frozen=True)
+#: one end of a columnar witness pair: (statement index, environment
+#: names — sorted iterators, then sorted parameters, the order of an
+#: :data:`Instance` environment — and an ``(n, len(names))`` int64
+#: matrix of iterator values plus the parameter binding per witness)
+WitnessSide = Tuple[int, Tuple[str, ...], np.ndarray]
+
+
+class WitnessColumns:
+    """A dependence class's witness pairs as int64 columns."""
+
+    __slots__ = ("src", "tgt")
+
+    def __init__(self, src: WitnessSide, tgt: WitnessSide) -> None:
+        self.src = src
+        self.tgt = tgt
+
+    def __len__(self) -> int:
+        return len(self.src[2])
+
+    def render(self) -> Tuple[Tuple[Instance, Instance], ...]:
+        """The reference-format ``(src, tgt)`` instance pairs."""
+        ssi, snames, svals = self.src
+        tsi, tnames, tvals = self.tgt
+        return tuple(((ssi, tuple(zip(snames, sv))),
+                      (tsi, tuple(zip(tnames, tv))))
+                     for sv, tv in zip(svals.tolist(), tvals.tolist()))
+
+    def renumbered(self, index: Sequence[int]) -> "WitnessColumns":
+        """The same witnesses with statement ``i`` renamed ``index[i]``."""
+        (ssi, snames, svals), (tsi, tnames, tvals) = self.src, self.tgt
+        return WitnessColumns((index[ssi], snames, svals),
+                              (index[tsi], tnames, tvals))
+
+    @staticmethod
+    def concat(parts: Sequence["WitnessColumns"]) -> "WitnessColumns":
+        """Witnesses of one class from several passes, in pass order.
+
+        A class's statements fix both sides' statement index and
+        environment names, so only the value rows differ per pass.
+        """
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        return WitnessColumns(
+            first.src[:2] + (np.concatenate([p.src[2] for p in parts]),),
+            first.tgt[:2] + (np.concatenate([p.tgt[2] for p in parts]),))
+
+
+@dataclass(frozen=True, eq=False)
 class Dependence:
-    """A dependence class between two statements through one array."""
+    """A dependence class between two statements through one array.
+
+    Equality and hashing cover every field, with the witnesses compared
+    in their rendered form whichever representation stores them.
+    """
 
     kind: str
     source: str
@@ -126,8 +185,36 @@ class Dependence:
     distances: Tuple[Tuple[int, ...], ...]
     common_iters: Tuple[str, ...]
     loop_carried: bool
-    witnesses: Tuple[Tuple[Instance, Instance], ...] = field(repr=False,
-                                                             default=())
+    #: the witness pairs as stored: the rendered tuple (reference
+    #: engine) or :class:`WitnessColumns` (vectorized engine)
+    witness_data: Union[Tuple[Tuple[Instance, Instance], ...],
+                        WitnessColumns] = field(repr=False, default=())
+
+    @property
+    def witnesses(self) -> Tuple[Tuple[Instance, Instance], ...]:
+        """Witness instance pairs; columns are rendered once, on first
+        read."""
+        data = self.witness_data
+        if not isinstance(data, WitnessColumns):
+            return data
+        rendered = self.__dict__.get("_rendered")
+        if rendered is None:
+            rendered = data.render()
+            object.__setattr__(self, "_rendered", rendered)
+        return rendered
+
+    def _eq_key(self) -> tuple:
+        return (self.kind, self.source, self.target, self.array,
+                self.distances, self.common_iters, self.loop_carried,
+                self.witnesses)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._eq_key() == other._eq_key()  # type: ignore
+
+    def __hash__(self) -> int:
+        return hash(self._eq_key())
 
     @property
     def constant_distance(self) -> Optional[Tuple[int, ...]]:
@@ -159,13 +246,13 @@ _LATE_ONSET_SPREAD = max(_PARAM_SIZES)
 def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
     """``(late-onset arrays, scaled binding)`` — see :func:`nonuniform_arrays`.
 
-    Memoized per fingerprint.  The scaled binding is normally
+    Memoized per :meth:`Program.analysis_key`.  The scaled binding is normally
     ``_NONUNIFORM_PARAM`` (26) but grows with the largest constant
     offset spread so that constant-offset classes (``X[i]`` vs
     ``X[i+20]``: uniform distance, late onset) are concretized at a
     size where they actually occur.
     """
-    cached = _NONUNIFORM_CACHE.get(program.fingerprint())
+    cached = _NONUNIFORM_CACHE.get(program.analysis_key())
     if cached is not None:
         return cached
     params = set(program.params)
@@ -218,7 +305,7 @@ def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
             # for plain offsets; the margin absorbs guards shifting it)
             scaled = max(scaled, spread + _LATE_ONSET_SPREAD)
     result = (frozenset(flagged), scaled)
-    _NONUNIFORM_CACHE.put(program.fingerprint(), result)
+    _NONUNIFORM_CACHE.put(program.analysis_key(), result)
     return result
 
 
@@ -248,7 +335,7 @@ def nonuniform_arrays(program: Program) -> frozenset:
 
     Only *written* arrays matter (read-only arrays generate no
     dependences).  The result drives the scaled third concretization
-    pass in :func:`compute_dependences`; memoized per fingerprint.
+    pass in :func:`compute_dependences`; memoized per analysis key.
     """
     return _nonuniform_profile(program)[0]
 
@@ -306,19 +393,25 @@ def compute_dependences(program: Program,
             scaled = _collect_scaled(program, scaled_arrays, scaled_size)
             if scaled is not None:
                 collected.append(scaled)
+    # per class, each pass's witness bucket in pass order
     merged_pairs: Dict[str, Dict] = {KIND_RAW: {}, KIND_WAW: {}, KIND_WAR: {}}
     merged_distances: Dict[Tuple[str, int, int, str], set] = {}
     for pairs_by_kind, distance_sets in collected:
         for kind, pairs in pairs_by_kind.items():
             for key, bucket in pairs.items():
-                merged_pairs[kind].setdefault(key, []).extend(bucket)
+                merged_pairs[kind].setdefault(key, []).append(bucket)
         for key, vecs in distance_sets.items():
             merged_distances.setdefault(key, set()).update(vecs)
 
     deps: List[Dependence] = []
     for kind in (KIND_RAW, KIND_WAW, KIND_WAR):
-        for (src_idx, tgt_idx, array), witnesses in sorted(
+        for (src_idx, tgt_idx, array), buckets in sorted(
                 merged_pairs[kind].items()):
+            if isinstance(buckets[0], WitnessColumns):
+                witnesses = WitnessColumns.concat(buckets)
+            else:
+                witnesses = tuple(pair for bucket in buckets
+                                  for pair in bucket)
             all_distances = merged_distances.get(
                 (kind, src_idx, tgt_idx, array), set())
             deps.append(_summarize(program, kind, src_idx, tgt_idx, array,
@@ -351,12 +444,14 @@ def _collect_scaled(program: Program, scaled_arrays: frozenset,
     except RuntimeError:
         return None
 
-    def remap_inst(inst: Instance) -> Instance:
-        return (touching[inst[0]], inst[1])
+    def remap(bucket):
+        if isinstance(bucket, WitnessColumns):
+            return bucket.renumbered(touching)
+        return [((touching[a[0]], a[1]), (touching[b[0]], b[1]))
+                for a, b in bucket]
 
     remapped_pairs = {
-        kind: {(touching[src], touching[tgt], array):
-               [(remap_inst(a), remap_inst(b)) for a, b in bucket]
+        kind: {(touching[src], touching[tgt], array): remap(bucket)
                for (src, tgt, array), bucket in pairs.items()
                if array in scaled_arrays}
         for kind, pairs in pairs_by_kind.items()}
@@ -371,8 +466,9 @@ def _collect_pairs(program: Program, params: Mapping[str, int],
                    rotate: bool = True):
     """One concretization pass: witness pairs + distance vectors.
 
-    Dispatches on the active engine; both produce identical structures
-    (same buckets, same witness order, same rotation slots).
+    Dispatches on the active engine; both produce the same buckets,
+    witness order and rotation slots (the vectorized engine's buckets
+    as :class:`WitnessColumns`, the reference's as pair lists).
     ``rotate=False`` (the scaled non-uniform pass) keeps the first
     ``_MAX_WITNESSES`` records per bucket instead of rotating — cheaper
     on the larger instance space, same exhaustive distance sets.
@@ -484,23 +580,25 @@ def _collect_pairs_reference(program: Program, params: Mapping[str, int],
 
 def _summarize(program: Program, kind: str, src_idx: int, tgt_idx: int,
                array: str,
-               witnesses: List[Tuple[Instance, Instance]],
+               witnesses: Union[Tuple[Tuple[Instance, Instance], ...],
+                                WitnessColumns],
                all_distances: set) -> Dependence:
+    """One class's :class:`Dependence`.
+
+    ``all_distances`` is the exhaustive distance set of every record of
+    the class, so the (bounded) witnesses' own distances, a subset of
+    it, add nothing.
+    """
     src_stmt = program.statements[src_idx]
     tgt_stmt = program.statements[tgt_idx]
     src_iters = src_stmt.domain.iterator_names
     tgt_iters = set(tgt_stmt.domain.iterator_names)
     common = tuple(name for name in src_iters if name in tgt_iters)
-    distances = set(all_distances)
-    for (_s_si, s_env), (_t_si, t_env) in witnesses:
-        s_map = dict(s_env)
-        t_map = dict(t_env)
-        distances.add(tuple(t_map[name] - s_map[name] for name in common))
-    carried = any(any(v != 0 for v in vec) for vec in distances)
+    carried = any(any(v != 0 for v in vec) for vec in all_distances)
     return Dependence(kind=kind, source=src_stmt.name, target=tgt_stmt.name,
-                      array=array, distances=tuple(sorted(distances)),
+                      array=array, distances=tuple(sorted(all_distances)),
                       common_iters=common, loop_carried=carried,
-                      witnesses=tuple(witnesses))
+                      witness_data=witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -518,10 +616,11 @@ def _legality_schedules(program: Program) -> List[Schedule]:
     band permutability), so evaluating with size-2 tiles on the small
     domain checks the same property while actually exercising boundaries.
 
-    Memoized per program fingerprint: every candidate legality query of
-    every persona/compiler pays the schedule rebuild once, not per call.
+    Memoized per :meth:`Program.analysis_key`: every candidate legality
+    query of every persona/compiler pays the schedule rebuild once, not
+    per call.
     """
-    cached = _LEGALITY_CACHE.get(program.fingerprint())
+    cached = _LEGALITY_CACHE.get(program.analysis_key())
     if cached is not None:
         return cached
 
@@ -534,7 +633,7 @@ def _legality_schedules(program: Program) -> List[Schedule]:
             if isinstance(d, TileDim) else d
             for d in sched.dims)
         out.append(Sched(dims))
-    _LEGALITY_CACHE.put(program.fingerprint(), out)
+    _LEGALITY_CACHE.put(program.analysis_key(), out)
     return out
 
 
@@ -671,14 +770,22 @@ _NONUNIFORM_CACHE = _LRUCache(4096)
 def dependences(program: Program,
                 params: Optional[Mapping[str, int]] = None
                 ) -> List[Dependence]:
-    """Memoized :func:`compute_dependences` (keyed by program fingerprint).
+    """Memoized :func:`compute_dependences`.
+
+    Keyed by :meth:`Program.analysis_key` — the parameters and each
+    statement's text, exactly what the analysis reads.  Pragma marks
+    (``parallel_dims``/``vector_dims``), tags, scalars, outputs, array
+    declarations, provenance and the program name stay out of the key:
+    the feedback loop re-checks candidates that differ from an earlier
+    one only there, and they share its analysis instead of repeating
+    it.
 
     The default (``params=None``) concretizes at every ``_PARAM_SIZES``
     binding and memoizes the merged result under its own key, so the
     two-size hardening costs one extra pass per distinct program, not
     per legality query.
     """
-    key = (program.fingerprint(),
+    key = (program.analysis_key(),
            None if params is None else tuple(sorted(params.items())))
     cached = _DEP_CACHE.get(key)
     if cached is None:

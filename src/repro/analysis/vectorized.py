@@ -14,18 +14,34 @@ two-deep read history.  Here the same information is recovered in bulk:
    maps over the batched instance enumeration (``runtime.instances``,
    shared with the interpreter engines and the trace simulator);
 2. ``(array, cell)`` keys are flattened to integers and all access events
-   are ordered by one stable ``np.lexsort`` on (cell, schedule position,
-   access ordinal) — giving each cell's access history as a contiguous
-   segment in exactly the order the scalar walk visits it;
+   are ordered by (cell, schedule position, access ordinal) — giving each
+   cell's access history as a contiguous segment in exactly the order the
+   scalar walk visits it;
 3. segment scans (cumulative max/min/count with segment-start masking)
    yield, per event, the previous write, the next write, and the one- and
    two-back reads — from which RAW / WAW / WAR pair records follow as
    pure array expressions, including the compound-assignment WAR rule;
 4. records are re-ordered by the position the scalar walk would have
-   issued its ``add`` call and replayed through the same bounded-witness
-   bucket (append below ``_MAX_WITNESSES``, then crc32-slot rotation on
-   the iterator-only instance repr), so every stored witness — and every
-   legality verdict downstream — is identical, not just equivalent.
+   issued its ``add`` call, and each bucket's witnesses are the ones the
+   scalar bounded-witness bucket ends with (append below
+   ``_MAX_WITNESSES``, then crc32-slot rotation on the iterator-only
+   instance repr).  After the first ``_MAX_WITNESSES`` records, every
+   record overwrites its slot, so each slot holds the *last* record
+   mapped to it (or its initial record if none is): records are scanned
+   from the end in doubling chunks, crc32 runs only on those, and the
+   scan stops once every slot is filled — on a coupon-collector count
+   of records (~90 for 24 slots), not on the bucket's size.  The chosen
+   witnesses stay int64 matrices (:class:`~.dependences.WitnessColumns`:
+   iterator values plus the parameter binding), rendered into the
+   reference's instance tuples only when ``Dependence.witnesses`` is
+   read, so every stored witness — and every legality verdict
+   downstream — is identical, not just equivalent.
+
+Both record orderings (events in step 2, records in step 4) are sorts on
+keys whose rows are pairwise distinct, so one ``argsort`` over a
+composite int64 key gives the same order as the stable multi-key
+``np.lexsort``; the composite is used only where its range provably fits
+in int64, and ``lexsort`` remains the fallback.
 
 Distance-vector sets are computed exhaustively as array differences over
 the common iterators and deduplicated via integer encoding.
@@ -33,9 +49,11 @@ the common iterators and deduplicated via integer encoding.
 Legality checking
 -----------------
 ``schedule_violations`` / ``parallel_violations`` batch all witnesses of
-all dependences into per-(statement, names) groups (cached per deps list,
-since the memoized dependence lists are reused across thousands of
-candidate queries), evaluate the legality schedules as vectorized affine
+all dependences into per-(statement, names) groups — stacking the
+witness columns directly, parsing instance tuples only for dependences
+the reference engine produced — (cached per deps list, since the
+memoized dependence lists are reused across thousands of candidate
+queries), evaluate the legality schedules as vectorized affine
 maps over the witness environments, and compare source/target schedule
 keys with one row-wise lexicographic comparison.
 """
@@ -52,6 +70,7 @@ import numpy as np
 from ..ir.affine import affine_column
 from ..ir.program import Program
 from ..ir.schedule import Schedule
+from .dependences import WitnessColumns, WitnessSide
 
 KIND_RAW = "RAW"
 KIND_WAW = "WAW"
@@ -62,7 +81,7 @@ KIND_WAR = "WAR"
 # Dependence collection
 # ----------------------------------------------------------------------
 class _StmtMeta:
-    """Per-statement helpers for materializing witness instances."""
+    """Per-statement helpers for witness columns and rotation slots."""
 
     def __init__(self, si: int, names: Sequence[str]) -> None:
         self.si = si
@@ -82,19 +101,94 @@ class _StmtMeta:
                      + ")")
         self.slot_template = f"({si}, {inner})"
 
-    def items(self, sorted_vals: Sequence[int]
-              ) -> Tuple[Tuple[str, int], ...]:
-        return tuple(zip(self.sorted_names, sorted_vals))
+    def crc_slots(self, pts: np.ndarray, width: int) -> np.ndarray:
+        """Rotation slot of each instance (rows of domain-order ``pts``)."""
+        template = self.slot_template
+        rows = pts[:, self.order].tolist()
+        return np.fromiter(
+            (zlib.crc32((template % tuple(row)).encode()) % width
+             for row in rows), dtype=np.int64, count=len(rows))
+
+    def side(self, pts: np.ndarray, param_names: Tuple[str, ...],
+             param_row: np.ndarray) -> WitnessSide:
+        """Witness columns of the instances ``pts`` at one binding."""
+        d = len(self.order)
+        vals = np.empty((len(pts), d + len(param_row)), dtype=np.int64)
+        vals[:, :d] = pts[:, self.order]
+        vals[:, d:] = param_row
+        return (self.si, self.sorted_names + param_names, vals)
+
+
+def _rotated(meta: _StmtMeta, tgt_pts: np.ndarray, width: int
+             ) -> np.ndarray:
+    """Record index each witness slot holds after the scalar rotation.
+
+    Records ``0..width-1`` fill the slots in order; every later record
+    overwrites slot ``crc32(target instance) % width``.  A slot thus
+    ends with the last record mapped to it, or its initial record if no
+    later one is: scan from the end in doubling chunks and stop once
+    every slot is filled or the records run out.
+    """
+    chosen = np.arange(width)
+    filled = np.zeros(width, dtype=bool)
+    hi, chunk = len(tgt_pts), 4 * width
+    while hi > width and not filled.all():
+        lo = max(width, hi - chunk)
+        recs = np.arange(hi - 1, lo - 1, -1)  # newest first
+        slots, first = np.unique(meta.crc_slots(tgt_pts[recs], width),
+                                 return_index=True)
+        fresh = ~filled[slots]
+        chosen[slots[fresh]] = recs[first[fresh]]
+        filled[slots[fresh]] = True
+        hi, chunk = lo, 2 * chunk
+    return chosen
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _composite_key(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """One int64 key ordering rows like ``columns`` (primary first).
+
+    Every column must be non-negative.  Each column is weighted by the
+    product of the ranges of the columns after it, so the key orders
+    rows exactly lexicographically — and distinct rows get distinct
+    keys.  ``None`` when the key range would overflow int64.
+    """
+    radices = [int(col.max()) + 1 for col in columns]
+    span = 1
+    for radix in radices:
+        span *= radix
+    if span > _INT64_MAX:
+        return None
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, radix in zip(columns, radices):
+        key *= radix
+        key += col
+    return key
+
+
+def _distinct_rows_order(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable ``np.lexsort`` order of rows keyed by ``columns``
+    (primary first), for rows that are pairwise distinct.
+
+    Distinct rows leave no ties, so any sort of the composite key agrees
+    with the stable lexsort; lexsort is the fallback when it overflows.
+    """
+    key = _composite_key(columns)
+    if key is None:
+        return np.lexsort(tuple(reversed(columns)))
+    return np.argsort(key)
 
 
 def collect_pairs(program: Program, params: Mapping[str, int],
                   budget: int, exceeded: Callable[[int], Exception],
                   max_witnesses: int, rotate: bool = True):
-    """One concretization pass; same return structure as the reference.
+    """One concretization pass; the reference's return structure.
 
-    Returns ``({kind: {(src_si, tgt_si, array): [witness pair, ...]}},
-    {(kind, src_si, tgt_si, array): {distance vec, ...}})`` with witness
-    buckets byte-identical to the scalar walk's.
+    Returns ``({kind: {(src_si, tgt_si, array): WitnessColumns}},
+    {(kind, src_si, tgt_si, array): {distance vec, ...}})``; each
+    bucket's columns render to exactly the scalar walk's witness list.
 
     ``rotate=False`` keeps the first ``max_witnesses`` records per
     bucket instead of crc-rotating later ones in — the policy of the
@@ -184,7 +278,8 @@ def collect_pairs(program: Program, params: Mapping[str, int],
 
     # cell-major, then schedule position, then access ordinal — each
     # cell's history is one contiguous segment in scalar visit order
-    order = np.lexsort((ev_ord, ev_g, ev_flat, ev_sid))
+    # ((position, ordinal) names one event, so the rows are distinct)
+    order = _distinct_rows_order((ev_sid, ev_flat, ev_g, ev_ord))
     ev_sid, ev_flat = ev_sid[order], ev_flat[order]
     ev_g, ev_ord, ev_w = ev_g[order], ev_ord[order], ev_w[order]
     m_ev = len(ev_g)
@@ -265,27 +360,8 @@ def collect_pairs(program: Program, params: Mapping[str, int],
     for (array, _rank), sid in spaces.items():
         sid_name[sid] = name_id[array]
 
-    param_items = tuple(sorted(params.items()))
-
-    # lazy per-statement crc32 table over iterator-only instance reprs:
-    # the witness-rotation slot depends only on the target instance, so
-    # one crc per enumerated point serves every overflowing bucket
-    crc_tables: Dict[int, np.ndarray] = {}
-
-    def crc_table(si: int) -> np.ndarray:
-        table = crc_tables.get(si)
-        if table is None:
-            meta = metas[si]
-            pts = batch.points[si]
-            rows = (pts[:, meta.order].tolist() if pts.shape[1]
-                    else [[]] * len(pts))
-            template = meta.slot_template
-            table = np.fromiter(
-                (zlib.crc32((template % tuple(row)).encode())
-                 for row in rows),
-                dtype=np.int64, count=len(rows))
-            crc_tables[si] = table
-        return table
+    param_names = tuple(sorted(params))
+    param_row = np.array([params[p] for p in param_names], dtype=np.int64)
 
     def emit(pairs_out, kind, src_ev, tgt_ev, phase, sub):
         """Replay one kind's ``add`` stream bucket by bucket.
@@ -293,15 +369,17 @@ def collect_pairs(program: Program, params: Mapping[str, int],
         ``phase``/``sub`` order records the way the scalar walk issues
         them within one write event (WAW, then the readers list in
         append order, then the compound-history pair); across events the
-        target's schedule position orders everything.
+        target's schedule position orders everything.  The target event
+        with ``phase``/``sub`` names one record, so the rows are
+        distinct.
         """
         if len(src_ev) == 0:
             return
         src_si = batch.si[ev_g[src_ev]]
         tgt_si = batch.si[ev_g[tgt_ev]]
         arr = sid_name[ev_sid[tgt_ev]]
-        rec_order = np.lexsort((sub, phase, ev_ord[tgt_ev], ev_g[tgt_ev],
-                                arr, tgt_si, src_si))
+        rec_order = _distinct_rows_order((src_si, tgt_si, arr, ev_g[tgt_ev],
+                                          ev_ord[tgt_ev], phase, sub))
         src_ev, tgt_ev = src_ev[rec_order], tgt_ev[rec_order]
         src_si, tgt_si, arr = (src_si[rec_order], tgt_si[rec_order],
                                arr[rec_order])
@@ -314,29 +392,17 @@ def collect_pairs(program: Program, params: Mapping[str, int],
         for a, b in zip(bounds[:-1], bounds[1:]):
             ssi, tsi = int(src_si[a]), int(tgt_si[a])
             key = (ssi, tsi, id_name[int(arr[a])])
-            smeta, tmeta = metas[ssi], metas[tsi]
-            src_rows = batch.row[ev_g[src_ev[a:b]]]
-            tgt_rows = batch.row[ev_g[tgt_ev[a:b]]]
-            src_pts = batch.points[ssi][src_rows]
-            tgt_pts = batch.points[tsi][tgt_rows]
+            src_pts = batch.points[ssi][batch.row[ev_g[src_ev[a:b]]]]
+            tgt_pts = batch.points[tsi][batch.row[ev_g[tgt_ev[a:b]]]]
             _merge_distances(program, distance_sets, kind, key,
                              ssi, tsi, src_pts, tgt_pts)
-            # bounded-witness replay: the first _MAX_WITNESSES records
-            # append; later ones overwrite their crc slot, so only the
-            # last record per slot needs materializing
-            k = b - a
-            chosen = np.arange(min(k, max_witnesses))
-            if k > max_witnesses and rotate:
-                slots = (crc_table(tsi)[tgt_rows[max_witnesses:]]
-                         % max_witnesses)
-                for j, slot in enumerate(slots.tolist()):
-                    chosen[slot] = max_witnesses + j
-            sel_src = src_pts[chosen][:, smeta.order].tolist()
-            sel_tgt = tgt_pts[chosen][:, tmeta.order].tolist()
-            pairs_out[key] = [
-                ((ssi, smeta.items(sv) + param_items),
-                 (tsi, tmeta.items(tv) + param_items))
-                for sv, tv in zip(sel_src, sel_tgt)]
+            if b - a > max_witnesses and rotate:
+                chosen = _rotated(metas[tsi], tgt_pts, max_witnesses)
+            else:
+                chosen = np.arange(min(b - a, max_witnesses))
+            pairs_out[key] = WitnessColumns(
+                metas[ssi].side(src_pts[chosen], param_names, param_row),
+                metas[tsi].side(tgt_pts[chosen], param_names, param_row))
 
     emit(raw_pairs, KIND_RAW, raw_src, raw_tgt,
          np.zeros(len(raw_src), dtype=np.int64),
@@ -403,43 +469,52 @@ _PACK_CAPACITY = 256
 _HETEROGENEOUS = "heterogeneous"
 
 
+def _tuple_side(insts) -> Optional[WitnessSide]:
+    """Columns of one side of rendered witness pairs (None when the
+    environments are heterogeneous)."""
+    si = insts[0][0]
+    names = tuple(n for n, _v in insts[0][1])
+    rows = []
+    for inst_si, env in insts:
+        if inst_si != si or len(env) != len(names):
+            return None
+        rows.append([v for _n, v in env])
+    return si, names, np.asarray(rows, dtype=np.int64).reshape(
+        len(rows), len(names))
+
+
 def _build_pack(deps: Sequence) -> Optional[_WitnessPack]:
     group_ids: Dict[Tuple[int, Tuple[str, ...]], int] = {}
-    group_rows: List[List[List[int]]] = []
-    group_meta: List[Tuple[int, Tuple[str, ...]]] = []
+    group_parts: List[List[np.ndarray]] = []
+    group_sizes: List[int] = []
     per_dep = []
 
-    def side_rows(insts) -> Optional[Tuple[int, slice]]:
-        si = insts[0][0]
-        names = tuple(n for n, _v in insts[0][1])
-        gid = group_ids.get((si, names))
-        if gid is None:
-            gid = len(group_rows)
-            group_ids[(si, names)] = gid
-            group_rows.append([])
-            group_meta.append((si, names))
-        rows = group_rows[gid]
-        start = len(rows)
-        for inst_si, env in insts:
-            if inst_si != si or len(env) != len(names):
-                return None
-            rows.append([v for _n, v in env])
-        return gid, slice(start, start + len(insts))
+    def side_rows(side: WitnessSide) -> Tuple[int, slice]:
+        si, names, vals = side
+        gid = group_ids.setdefault((si, names), len(group_parts))
+        if gid == len(group_parts):
+            group_parts.append([])
+            group_sizes.append(0)
+        start = group_sizes[gid]
+        group_parts[gid].append(vals)
+        group_sizes[gid] += len(vals)
+        return gid, slice(start, start + len(vals))
 
     for dep in deps:
-        if not dep.witnesses:
+        data = dep.witness_data
+        if not len(data):
             per_dep.append(None)
             continue
-        src = side_rows([pair[0] for pair in dep.witnesses])
-        tgt = side_rows([pair[1] for pair in dep.witnesses])
-        if src is None or tgt is None:
-            return None
-        per_dep.append(src + tgt)
-    groups = []
-    for (si, names), rows in zip(group_meta, group_rows):
-        vals = np.asarray(rows, dtype=np.int64).reshape(len(rows),
-                                                        len(names))
-        groups.append((si, names, vals))
+        if isinstance(data, WitnessColumns):
+            src, tgt = data.src, data.tgt
+        else:  # rendered pairs (reference engine)
+            src = _tuple_side([pair[0] for pair in data])
+            tgt = _tuple_side([pair[1] for pair in data])
+            if src is None or tgt is None:
+                return None
+        per_dep.append(side_rows(src) + side_rows(tgt))
+    groups = [(si, names, np.concatenate(parts))
+              for (si, names), parts in zip(group_ids, group_parts)]
     return _WitnessPack(groups, per_dep)
 
 
@@ -449,7 +524,7 @@ def _witness_pack(deps: Sequence) -> Optional[_WitnessPack]:
     Keyed by the identity of the dependence objects; the entry pins the
     deps tuple so ids stay valid while cached.  Memoized dependence
     lists are queried by every candidate schedule of every persona and
-    compiler pass, so the tuple-to-matrix conversion is paid once.
+    compiler pass, so stacking their witness columns is paid once.
     """
     key = tuple(map(id, deps))
     with _PACK_LOCK:

@@ -48,7 +48,7 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
 from ..registry import UnknownComponentError
 from ..retrieval.retriever import Retriever
 from ..synthesis.dataset import Dataset, dataset_signature
-from .events import EventBus, EventLog, SessionEvent
+from .events import EVENT_REQUEST, EventBus, EventLog, SessionEvent
 from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
                        OPTIMIZER_REGISTRY, RETRIEVAL_METHODS)
 
@@ -215,8 +215,23 @@ class OptimizationResult:
     @staticmethod
     def from_payload(request: OptimizationRequest,
                      payload: dict) -> "OptimizationResult":
+        """Rebuild a stored result as the answer to ``request``.
+
+        The store is keyed by content (the program fingerprint ignores
+        the kernel name), so a payload may have been computed for an
+        identical body under another name or tag.  The log's
+        ``request`` event is therefore rebuilt from ``request``'s own
+        echo, exactly as a live run emits it.
+        """
         if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError("stale result payload")
+        events = []
+        for entry in payload["events"]:
+            event = SessionEvent.from_dict(entry)
+            if event.kind == EVENT_REQUEST:
+                event = SessionEvent.make(event.seq, EVENT_REQUEST,
+                                          request.echo())
+            events.append(event)
         return OptimizationResult(
             request=request,
             system_label=str(payload["system_label"]),
@@ -231,8 +246,7 @@ class OptimizationResult:
             stage_speedup=tuple((str(n), float(v))
                                 for n, v in payload["stage_speedup"]),
             failure=payload["failure"],
-            events=tuple(SessionEvent.from_dict(e)
-                         for e in payload["events"]),
+            events=tuple(events),
             from_cache=True,
             _best_program_json=payload["best_program"])
 
@@ -586,7 +600,7 @@ class OptimizerSession:
                  live_events: bool = True) -> OptimizationResult:
         log = EventLog(forward=self.events.publish if live_events
                        else None)
-        log.emit("request", **request.echo())
+        log.emit(EVENT_REQUEST, **request.echo())
         if request.system == "compiler":
             return self._run_compiler(request, log)
         pipeline = self.pipeline_for(request.system, request.persona,

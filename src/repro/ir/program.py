@@ -134,27 +134,46 @@ class Program:
         """Stable content hash — the cache key for testing/cost results.
 
         Memoized on the instance (the class is frozen, so the content can
-        never change): every cache keyed on a fingerprint — dependence
-        memoization, equivalence verdicts, the compiled-kernel cache,
-        branch-coverage registration — pays the hash once per program
-        object instead of once per lookup.
+        never change): every cache keyed on a fingerprint — equivalence
+        verdicts, the compiled-kernel cache, branch-coverage
+        registration — pays the hash once per program object instead of
+        once per lookup.
         """
-        cached = self.__dict__.get("_fingerprint")
+        return self._identity()[0]
+
+    def analysis_key(self) -> str:
+        """Hash of exactly what dependence analysis reads.
+
+        The parameters plus each statement's text (name, domain,
+        schedule, guards, body).  Pragma marks, tags, scalars, outputs,
+        array declarations, provenance and the program name stay out,
+        so programs that differ only there share one memoized analysis.
+        """
+        return self._identity()[1]
+
+    def _identity(self) -> Tuple[str, str]:
+        """``(fingerprint, analysis key)``, rendered from one statement
+        text and memoized together on the instance."""
+        cached = self.__dict__.get("_identity_keys")
         if cached is not None:
             return cached
+        params = ",".join(self.params)
+        statements = ";".join(str(s) for s in self.statements)
         text = "|".join([
-            ",".join(self.params),
+            params,
             ";".join(str(a) + ":" + a.init for a in self.arrays),
-            ";".join(str(s) for s in self.statements),
+            statements,
             ",".join(f"{k}={v}" for k, v in self.scalars),
             ",".join(self.outputs),
             ",".join(map(str, sorted(self.parallel_dims))),
             ",".join(map(str, sorted(self.vector_dims))),
             ",".join(sorted(self.tags)),
         ])
-        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        object.__setattr__(self, "_fingerprint", digest)
-        return digest
+        cached = (hashlib.sha256(text.encode()).hexdigest()[:16],
+                  hashlib.sha256(f"{params}|{statements}".encode())
+                  .hexdigest()[:16])
+        object.__setattr__(self, "_identity_keys", cached)
+        return cached
 
     def __str__(self) -> str:
         lines = [f"program {self.name}({', '.join(self.params)})"]

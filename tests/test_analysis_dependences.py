@@ -122,6 +122,70 @@ class TestMemoization:
         assert default is not explicit
 
 
+class TestStructuralMemoKey:
+    """``dependences()`` is keyed on exactly what the analysis reads."""
+
+    @pytest.fixture(params=["vectorized", "reference"])
+    def counted(self, request, monkeypatch):
+        """Analyses run under each engine, against an empty memo."""
+        import sys
+
+        from repro.analysis.dependences import analysis_override
+
+        # the package re-exports a `dependences` *function*, shadowing
+        # the submodule attribute — go through sys.modules
+        dep_mod = sys.modules["repro.analysis.dependences"]
+        monkeypatch.setattr(dep_mod, "_DEP_CACHE", dep_mod._LRUCache(64))
+        compute = dep_mod.compute_dependences
+        calls = []
+
+        def counting(program, params=None):
+            calls.append(program.name)
+            return compute(program, params)
+
+        monkeypatch.setattr(dep_mod, "compute_dependences", counting)
+        with analysis_override(request.param):
+            yield calls
+
+    def test_pragma_and_metadata_variants_share_one_analysis(
+            self, counted, gemm):
+        from dataclasses import replace
+
+        variants = [
+            gemm.with_parallel(frozenset({1})),
+            gemm.with_vector(frozenset({5})),
+            gemm.with_provenance("pluto", "tile"),
+            gemm.with_tags("pure-annotated"),
+            replace(gemm, scalars=(("alpha", 2.0), ("beta", 0.5))),
+            replace(gemm, outputs=()),
+            gemm.renamed("gemm_twin"),
+        ]
+        base = dependences(gemm)
+        for variant in variants:
+            assert variant != gemm
+            assert dependences(variant) is base
+        assert counted == ["gemm"]
+
+    def test_statement_changes_get_their_own_analysis(self, counted,
+                                                      gemm):
+        from dataclasses import replace
+
+        from repro.ir import var
+
+        s1, s2 = gemm.statements
+        variants = [
+            interchange(gemm, 3, 5, stmts=["S2"]),
+            gemm.with_statement("S2", s2.with_guards((var("k") - 1,))),
+            gemm.with_statement("S2", s2.with_body(s1.body)),
+            gemm.with_statements([s1, replace(s2, name="T2")]),
+        ]
+        results = [dependences(gemm)]
+        for variant in variants:
+            results.append(dependences(variant))
+        assert len(counted) == 1 + len(variants)
+        assert len({id(r) for r in results}) == len(results)
+
+
 class TestTwoSizeConcretization:
     """Witnesses are collected at two sizes and keep their own binding."""
 

@@ -128,6 +128,107 @@ class TestCanonicalKernels:
         assert len(ref) == len(deps)  # all sources/targets unknown
 
 
+FAN_IN_SRC = """
+scop fan_in(N) {
+  array S[1] output;
+  array A[N][N];
+  array B[N][N] output;
+  for (i = 0; i < N; i++) {
+    for (j = 0; j < N; j++)
+      B[i][j] = S[0] * A[i][j];
+    S[0] = S[0] + 1.0;
+  }
+}
+"""
+
+HUGE_COEFF_SRC = """
+scop huge_coeff(N) {
+  array A[N] output;
+  array B[N][N];
+  for (i = 0; i < N; i++)
+    for (j = 0; j < N; j++)
+      A[10000000000000000*i] += B[i][j];
+}
+"""
+
+
+class TestRotationAndSorts:
+    """The reverse-scan witness rotation and the composite-key sorts,
+    pinned witness for witness against the scalar walk."""
+
+    @pytest.fixture
+    def rotations(self, monkeypatch):
+        """Per rotated bucket: (records, chunks scanned, slots that kept
+        their initial record)."""
+        import numpy as np
+
+        from repro.analysis import vectorized
+
+        seen = []
+        crc_slots = vectorized._StmtMeta.crc_slots
+        rotated = vectorized._rotated
+
+        def counting_crc_slots(meta, pts, width):
+            seen[-1][1] += 1
+            return crc_slots(meta, pts, width)
+
+        def recording_rotated(meta, tgt_pts, width):
+            seen.append([len(tgt_pts), 0, 0])
+            chosen = rotated(meta, tgt_pts, width)
+            seen[-1][2] = int((chosen == np.arange(width)).sum())
+            return chosen
+
+        monkeypatch.setattr(vectorized._StmtMeta, "crc_slots",
+                            counting_crc_slots)
+        monkeypatch.setattr(vectorized, "_rotated", recording_rotated)
+        return seen
+
+    def test_overflow_needs_several_reverse_chunks(self, rotations):
+        # every S2 instance is the target of N WAR records (one per S1
+        # reader since the last write), so the bucket's N*N records map
+        # to only N slots and the scan runs to the first overflow record
+        program = parse_scop(FAN_IN_SRC)
+        deps = assert_dependences_identical(program, {"N": 30})
+        assert max(chunks for _k, chunks, _kept in rotations) >= 3
+        assert any(len(d.witnesses) == 24 for d in deps)
+
+    def test_slots_never_overwritten_keep_initial_records(self,
+                                                          rotations):
+        program = parse_scop(FAN_IN_SRC)
+        assert_dependences_identical(program, {"N": 30})
+        # a 29-record bucket rotates only 5 records in, so most slots
+        # keep the record that first filled them; the 930-record fan-in
+        # bucket has only 30 distinct targets, so some slots keep theirs
+        assert max(kept for _k, _chunks, kept in rotations) >= 19
+        records, _chunks, kept = max(rotations)
+        assert records > 24 * 30 and kept > 0
+
+    def test_composite_key_overflow_takes_lexsort_fallback(
+            self, monkeypatch):
+        from repro.analysis import vectorized
+
+        composite = vectorized._composite_key
+        overflowed = []
+
+        def recording_composite_key(columns):
+            key = composite(columns)
+            overflowed.append(key is None)
+            return key
+
+        monkeypatch.setattr(vectorized, "_composite_key",
+                            recording_composite_key)
+        program = parse_scop(HUGE_COEFF_SRC)
+        deps = assert_dependences_identical(program)
+        # the event key spans a 1.2e17-wide cell range times every
+        # (position, ordinal) pair; the record keys still fit
+        assert any(overflowed) and not all(overflowed)
+        assert deps
+        for candidate in candidate_schedules(program):
+            ref, vec = both_engines(
+                lambda: schedule_violations(candidate, deps))
+            assert [id(d) for d in ref] == [id(d) for d in vec]
+
+
 class TestErrorParity:
     def test_budget_exceeded_message_identical(self, monkeypatch, gemm):
         import sys

@@ -171,6 +171,35 @@ class TestRequestStore:
         # byte-stable JSON document, warm or cold
         assert cached.to_json_dict() == live.to_json_dict()
 
+    def test_same_body_hit_echoes_its_own_request(self, benches, tmp_path,
+                                                  monkeypatch):
+        """The store is content-keyed, so a kernel whose body equals an
+        earlier kernel's hits that kernel's entry; its document must
+        still be the one a store-off run renders for it."""
+        import json
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        bench = benches[0]
+        first = OptimizationRequest.make(bench.program, bench.perf,
+                                         bench.test)
+        twin = OptimizationRequest.make(bench.program.renamed("gemm_twin"),
+                                        bench.perf, bench.test,
+                                        tag="twin")
+        session = OptimizerSession(dataset_size=40, seed=0)
+        assert not session.optimize(first).from_cache
+        hit = session.optimize(twin)
+        assert hit.from_cache
+        live = session.optimize(twin, use_store=False)
+        assert not live.from_cache
+
+        def doc(result):
+            return json.dumps(result.to_json_dict(), indent=2,
+                              sort_keys=True).encode()
+
+        assert doc(hit) == doc(live)
+        assert hit.events == live.events
+        assert hit.events[0].get("target") == "gemm_twin"
+
     def test_injected_corpus_skips_store(self, retriever, benches,
                                          tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
