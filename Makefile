@@ -6,7 +6,7 @@ JOBS ?= 4
 
 export PYTHONPATH := src
 
-.PHONY: test test-quick test-reference test-store test-serve test-chaos bench bench-liveness perf clean-cache
+.PHONY: test test-quick test-reference test-store test-serve test-chaos bench bench-liveness bench-e2e perf clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -77,3 +77,12 @@ perf:
 
 clean-cache:
 	rm -rf .repro_cache
+
+# one-command end-to-end numbers: every workload once (seed 0,
+# untraced), printing each run's final metrics JSON line
+bench-e2e:
+	@for w in polybench-cold tsvc-served lore-batch; do \
+	    out=$$(python3 perfbench/run.py --workload $$w --seed 0 \
+	        --seconds 10 --trace 0) || exit 1; \
+	    echo "$$out" | tail -n 1; \
+	done

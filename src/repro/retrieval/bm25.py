@@ -3,6 +3,14 @@
 Replaces the Elasticsearch 7.13.2 deployment of §5 — BM25 is a pure
 function of the corpus (k1 = 1.2, b = 0.75, Lucene-style idf), so an
 in-process index is behaviourally identical for our corpus sizes.
+
+Queries are scored over *posting columns*: per term, the ids of the
+documents containing it and each one's precomputed contribution
+``idf · tf · (k1 + 1) / denom``.  A query adds its terms' columns into
+one float64 vector in sorted-term order — per document, the same
+additions in the same order as the scalar :meth:`BM25Index.score`, so
+the sums are bit-identical to it.  :meth:`BM25Index.add` invalidates
+the columns; the next query rebuilds them.
 """
 
 from __future__ import annotations
@@ -10,7 +18,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .tokenize import tokenize
 
@@ -30,7 +40,11 @@ class BM25Index:
         self._docs: List[Counter] = []
         self._lengths: List[int] = []
         self._postings: Dict[str, List[Tuple[int, int]]] = {}
+        self._total_len = 0
         self._avg_len = 0.0
+        #: term -> (doc ids, contributions); None until the next query
+        self._columns: Optional[Dict[str, Tuple[np.ndarray,
+                                                np.ndarray]]] = None
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -44,8 +58,9 @@ class BM25Index:
         self._lengths.append(len(tokens))
         for term, tf in counts.items():
             self._postings.setdefault(term, []).append((doc_id, tf))
-        total = sum(self._lengths)
-        self._avg_len = total / len(self._lengths)
+        self._total_len += len(tokens)
+        self._avg_len = self._total_len / len(self._lengths)
+        self._columns = None
         return doc_id
 
     def idf(self, term: str) -> float:
@@ -74,33 +89,61 @@ class BM25Index:
             score += idf * tf * (self.k1 + 1) / denom
         return score
 
-    def scores(self, query_text: str) -> Dict[int, float]:
-        """BM25 scores of every matching document for one query.
+    def prepare(self) -> None:
+        """Build the posting columns now rather than on the next query."""
+        if self._columns is not None:
+            return
+        terms = list(self._postings)
+        sizes = [len(self._postings[term]) for term in terms]
+        flat = [posting for term in terms for posting in self._postings[term]]
+        ids = np.array([doc_id for doc_id, _ in flat], dtype=np.intp)
+        tf = np.array([tf for _, tf in flat], dtype=np.float64)
+        idf = np.repeat(np.array([self.idf(term) for term in terms],
+                                 dtype=np.float64), sizes)
+        length = np.array(self._lengths, dtype=np.float64)[ids]
+        # the scalar expression of score(), elementwise, same operand order
+        denom = tf + self.k1 * (1 - self.b + self.b * length / self._avg_len)
+        contrib = idf * tf * (self.k1 + 1) / denom
+        ends = np.cumsum(sizes, dtype=np.intp)
+        self._columns = {
+            term: (ids[end - size:end], contrib[end - size:end])
+            for term, size, end in zip(terms, sizes, ends)}
 
-        Tokenizes the query once and walks each query term's postings
-        list — O(|query terms| + total matching postings) — where
+    def _query_columns(self, query_text: str
+                       ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        self.prepare()
+        columns = self._columns
+        return [columns[term] for term in sorted(set(tokenize(query_text)))
+                if term in columns]
+
+    def _accumulate(self, columns: List[Tuple[np.ndarray, np.ndarray]]
+                    ) -> np.ndarray:
+        out = np.zeros(len(self._docs), dtype=np.float64)
+        for ids, contrib in columns:
+            out[ids] += contrib
+        return out
+
+    def scores(self, query_text: str) -> np.ndarray:
+        """BM25 score of every document for one query, indexed by doc id.
+
+        Tokenizes the query once and adds each query term's posting
+        column — O(|query terms| + total matching postings) — where
         calling :meth:`score` per document re-tokenizes and re-scores
-        the full query for each of the N documents, O(N · |query|).
-        Documents sharing no term with the query are absent (their BM25
-        score is 0.0).  Terms are visited in sorted order so the
-        floating-point accumulation matches :meth:`score` exactly and
-        is independent of hash seeding.
+        the full query for each of the N documents.  Documents sharing
+        no term with the query read 0.0.  Terms are added in sorted
+        order, so each document's floating-point sum equals
+        :meth:`score` exactly and is independent of hash seeding.
         """
-        candidates: Dict[int, float] = {}
-        for term in sorted(set(tokenize(query_text))):
-            idf = self.idf(term)
-            if idf == 0.0:
-                continue
-            for doc_id, tf in self._postings.get(term, ()):
-                length = self._lengths[doc_id]
-                denom = tf + self.k1 * (1 - self.b + self.b * length
-                                        / self._avg_len)
-                candidates[doc_id] = candidates.get(doc_id, 0.0) + \
-                    idf * tf * (self.k1 + 1) / denom
-        return candidates
+        return self._accumulate(self._query_columns(query_text))
 
     def search(self, query_text: str, top_n: int = 10) -> List[ScoredDoc]:
         """Rank all documents containing at least one query term."""
-        ranked = sorted(self.scores(query_text).items(),
-                        key=lambda kv: (-kv[1], kv[0]))[:top_n]
-        return [ScoredDoc(doc_id, score) for doc_id, score in ranked]
+        columns = self._query_columns(query_text)
+        if not columns:
+            return []
+        scores = self._accumulate(columns)
+        matched = np.unique(np.concatenate([ids for ids, _ in columns]))
+        # matched is in doc-id order; a stable sort keeps it for ties
+        ranked = matched[np.argsort(-scores[matched], kind="stable")]
+        return [ScoredDoc(int(doc_id), float(scores[doc_id]))
+                for doc_id in ranked[:top_n]]

@@ -36,11 +36,15 @@ class StatementFeatures:
     statement: str
     features: Tuple[Tuple[str, Tuple[Tuple[object, int], ...]], ...]
 
-    def counter(self, kind: str) -> Counter:
+    def items(self, kind: str) -> Tuple[Tuple[object, int], ...]:
+        """The ``(item, count)`` pairs of one kind (each item once)."""
         for name, items in self.features:
             if name == kind:
-                return Counter(dict(items))
-        return Counter()
+                return items
+        return ()
+
+    def counter(self, kind: str) -> Counter:
+        return Counter(dict(self.items(kind)))
 
 
 def _iterator_positions(stmt: Statement) -> Dict[str, int]:
